@@ -303,17 +303,22 @@ def replace_npc(genome: ScenarioGenome, index: int,
 # -- serialization -----------------------------------------------------------
 
 def genome_to_json(genome: ScenarioGenome) -> str:
-    """Canonical JSON document; round-trips bit-exactly."""
+    """Canonical JSON document; round-trips bit-exactly.
+
+    Starts are written at full precision (random placement draws them from
+    `rng.uniform`); speed genes are written with 3 decimals, the precision
+    every operator keeps them at.
+    """
     doc = {
         "scenario_id": genome.scenario_id,
         "template_id": genome.template_id,
         "T": genome.T,
-        "ego_start": [genome.ego_start[0], round(genome.ego_start[1], 3)],
+        "ego_start": list(genome.ego_start),
         "ego_route": list(genome.ego_route),
         "npcs": [
             {
                 "npc_id": npc.npc_id,
-                "start": [npc.start[0], round(npc.start[1], 3)],
+                "start": list(npc.start),
                 "SP": [f"{v:.3f}" for v in npc.SP],
                 "AC": list(npc.AC),
             }

@@ -217,11 +217,12 @@ class TestSerialization:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), ops=st.lists(st.integers(0, 6),
-                                                     max_size=6))
-    def test_roundtrip_after_mutations(self, seed, ops):
+                                                     max_size=6),
+           placement=st.sampled_from(("fixed", "random")))
+    def test_roundtrip_after_mutations(self, seed, ops, placement):
         graph = road.build_template("straight3", 200.0, 20.0)
         rng = random.Random(seed)
-        g = gn.random_genome(rng, graph, 2, 30)
+        g = gn.random_genome(rng, graph, 2, 30, placement)
         rng_ops = random.Random(seed + 1)
         for op in ops:
             chrom = g.npcs[0]
