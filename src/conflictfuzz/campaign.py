@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import conflicts as ca
 from . import genome as gn
@@ -188,6 +188,9 @@ class _Runner:
         self.step = 0
         self.stage = "restart"
         self.scenario_counter = 0
+        # genome_key -> EvaluatedScenario of the first evaluation; the
+        # simulator is deterministic, so a repeat reuses it
+        self.memo = {}
         self.pool = (ThreadPoolExecutor(max_workers=cfg.workers)
                      if cfg.workers > 1 else None)
 
@@ -198,10 +201,16 @@ class _Runner:
     def evaluate(self, genome: gn.ScenarioGenome) -> search.EvaluatedScenario:
         if self.step >= self.cfg.budget_steps:
             raise _BudgetExhausted
-        if self.pool is not None:
-            evaluated = self.pool.submit(self._evaluate, genome).result()
+        key = gn.genome_key(genome)
+        hit = self.memo.get(key)
+        if hit is not None:
+            evaluated = replace(hit, genome=genome)
         else:
-            evaluated = self._evaluate(genome)
+            if self.pool is not None:
+                evaluated = self.pool.submit(self._evaluate, genome).result()
+            else:
+                evaluated = self._evaluate(genome)
+            self.memo[key] = evaluated
         self.step += 1
         col = None
         if evaluated.collided:
@@ -228,11 +237,14 @@ class _Runner:
         grid = ca.rasterize(trace)
         cset = ca.find_conflicts(grid, t_c=self.cfg.t_c, t_s=self.cfg.t_s)
         ca.classify_all(cset, trace, self.graph)
+        collided = trace.collision is not None
+        # only _archive_collision reads the trace, and only of a collision
         return search.EvaluatedScenario(
-            genome=genome, trace=trace, conflict_set=cset,
+            genome=genome, trace=trace if collided else None,
+            conflict_set=cset,
             fitness_conflict=search.fitness_conflict(cset),
             fitness_collision=search.fitness_collision(cset, self.cfg.t_c),
-            collided=trace.collision is not None)
+            collided=collided)
 
     def _archive_collision(self, evaluated) -> CollisionRecord:
         trace = evaluated.trace

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 
 import yaml
@@ -163,6 +164,8 @@ def cmd_run(args) -> int:
     os.replace(tmp, ledger_path)
 
     snapshot = _config_snapshot(cfg)
+    # entries that repeat a genome share its Trace; serialise it once
+    trace_files = {}  # id(trace) -> its first .trace.jsonl
     for record in result.archive:
         base = os.path.join(out, "archive", f"step_{record.campaign_step:06d}")
         entry = {
@@ -180,9 +183,15 @@ def cmd_run(args) -> int:
         with open(base + ".json.tmp", "w") as fh:
             json.dump(entry, fh, indent=1)
         os.replace(base + ".json.tmp", base + ".json")
-        with open(base + ".trace.jsonl.tmp", "w") as fh:
-            fh.write(sim.trace_to_jsonl(record.trace))
-        os.replace(base + ".trace.jsonl.tmp", base + ".trace.jsonl")
+        trace_path = base + ".trace.jsonl"
+        first = trace_files.get(id(record.trace))
+        if first is None:
+            trace_files[id(record.trace)] = trace_path
+            with open(trace_path + ".tmp", "w") as fh:
+                fh.write(sim.trace_to_jsonl(record.trace))
+        else:
+            shutil.copyfile(first, trace_path + ".tmp")
+        os.replace(trace_path + ".tmp", trace_path)
 
     report.write_all(result.metrics, out)
     _print_summary(result.metrics)

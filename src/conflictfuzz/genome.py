@@ -80,6 +80,15 @@ class ScenarioGenome:
                 raise GenomeError("all chromosomes must share T")
 
 
+def genome_key(genome: ScenarioGenome) -> tuple:
+    """What the simulator reads of a genome: equal keys, equal traces.
+
+    Bookkeeping (`scenario_id`, `parent_ids`, `rng_seed`) is left out.
+    """
+    return (genome.template_id, genome.T, genome.ego_start, genome.ego_route,
+            genome.npcs)
+
+
 def _quantize(v: float, step: float = 0.5) -> float:
     return round(v / step) * step
 

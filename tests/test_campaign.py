@@ -5,6 +5,7 @@ import math
 import pytest
 
 from conflictfuzz import campaign as cp
+from conflictfuzz import genome as gn
 from conflictfuzz import road, search, sim
 from conflictfuzz.sim import VehicleState
 
@@ -176,3 +177,32 @@ class TestRunCampaign:
         a = small_campaign("full", seed=5, budget=40)
         b = small_campaign("full", seed=6, budget=40)
         assert a.ledger != b.ledger
+
+
+class TestEvaluationMemo:
+    @pytest.mark.parametrize("variant", ["full", "collision_only"])
+    def test_simulates_each_distinct_genome_once(self, variant, monkeypatch):
+        simulated = []
+        evaluated = []
+        simulate, evaluate = cp.sim.simulate, cp._Runner.evaluate
+
+        def counting_simulate(genome, *args, **kwargs):
+            simulated.append(gn.genome_key(genome))
+            return simulate(genome, *args, **kwargs)
+
+        def recording_evaluate(runner, genome):
+            result = evaluate(runner, genome)
+            evaluated.append((gn.genome_key(genome), result))
+            return result
+
+        monkeypatch.setattr(cp.sim, "simulate", counting_simulate)
+        monkeypatch.setattr(cp._Runner, "evaluate", recording_evaluate)
+        result = small_campaign(variant, budget=60)
+        sim_events = [e for e in result.ledger if e["stage"] != "handoff"]
+        assert len(sim_events) == len(evaluated) == 60
+        keys = [key for key, _ in evaluated]
+        assert len(simulated) == len(set(simulated)) == len(set(keys))
+        assert set(simulated) == set(keys)
+        assert len(simulated) < len(keys)  # the memo was hit
+        for _key, e in evaluated:
+            assert (e.trace is None) == (not e.collided)

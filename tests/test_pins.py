@@ -10,12 +10,14 @@ carry starts drawn from `rng.uniform`; every entry must replay.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
 import yaml
 
 from conflictfuzz import cli
+from conflictfuzz import genome as gn
 
 CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                       "example.yaml")
@@ -100,3 +102,13 @@ def test_every_archive_entry_replays(pinned_run):
     for entry in entries:
         assert cli.main(["replay", "--entry", str(entry)]) == cli.EXIT_OK, (
             f"{spec}: {entry.name} does not replay")
+
+
+def test_repeated_genomes_write_identical_traces(pinned_run):
+    _spec, out = pinned_run
+    first = {}
+    for entry in sorted((out / "archive").glob("step_*.json")):
+        with open(entry) as fh:
+            genome = gn.genome_from_json(json.dumps(json.load(fh)["genome"]))
+        trace = entry.with_name(entry.stem + ".trace.jsonl").read_bytes()
+        assert first.setdefault(gn.genome_key(genome), trace) == trace
